@@ -2,8 +2,9 @@
 
 Each pass builds the overlay from the seeded key workload with
 ``build_overlay`` (the paper's decentralized construction plus replica
-reconciliation) and materializes Algorithm 1's reference overlay over
-the same keys with ``PGridNetwork.ideal``.  One client then issues a
+reconciliation); that is the pass's set-up.  It then materializes
+Algorithm 1's reference overlay over the same keys with
+``PGridNetwork.ideal``, outside the set-up window.  One client then issues a
 fixed, seeded stream of lookups (present and absent keys), ranges sized
 by data quantiles, inserts and deletes, each after the previous one
 returned, and checks every answer against its own sorted model of the
@@ -66,9 +67,6 @@ _now = time.perf_counter
 
 
 class DataplaneWorkload:
-    #: Set-up-only measurements after each full pass.
-    setup_probes = 1
-
     def __init__(self, n_peers: int, n_ops: int):
         self.n_peers = n_peers
         self.n_ops = n_ops
@@ -91,27 +89,23 @@ class DataplaneWorkload:
         }
 
     def _set_up(self, seeds: dict):
-        """Keys, the constructed overlay and the reference overlay."""
-        cfg = self.config
+        """The keys and the constructed overlay: what ``setup_s`` times."""
         peer_keys = datasets.workload_keys(
             DISTRIBUTION, self.n_peers, KEYS_PER_PEER, seed=seeds["keys"]
         )
-        built = build_overlay(peer_keys, config=cfg, rng=seeds["build"])
-        serving = PGridNetwork.ideal(
+        built = build_overlay(peer_keys, config=self.config, rng=seeds["build"])
+        return peer_keys, built
+
+    def _serving(self, peer_keys, seeds: dict) -> PGridNetwork:
+        """Algorithm 1's reference overlay over the same keys."""
+        cfg = self.config
+        return PGridNetwork.ideal(
             [k for keys in peer_keys for k in keys],
             self.n_peers,
             d_max=cfg.resolved_d_max(),
             n_min=cfg.n_min,
             rng=seeds["blueprint"],
         )
-        return peer_keys, built, serving
-
-    def setup_probe(self, inputs: dict) -> float:
-        """Seconds one set-up takes, without the op stream."""
-        gc.collect()
-        t0 = _now()
-        self._set_up(inputs["seeds"])
-        return _now() - t0
 
     def run_pass(self, inputs: dict, tracer: Optional[Tracer] = None) -> dict:
         seeds = inputs["seeds"]
@@ -123,8 +117,9 @@ class DataplaneWorkload:
             # previous pass left behind is not scanned on this one's clock.
             gc.collect()
             t0 = _now()
-            peer_keys, built, serving = self._set_up(seeds)
+            peer_keys, built = self._set_up(seeds)
             t_setup = _now()
+            serving = self._serving(peer_keys, seeds)
             client = _Client(inputs["initial"], seeds["delay"], tracer)
             client.run(serving, inputs["ops"], random.Random(seeds["route"]))
             t_end = _now()
@@ -167,7 +162,6 @@ class DataplaneWorkload:
         stages = (
             "workloads.keys", "core.construction", "pgrid.from_construction",
             "pgrid.replication.anti_entropy", "pgrid.replication.reconcile_down",
-            "pgrid.blueprint",
         )
         stage_sum = sum(busy(s) for s in stages)
         if abs(stage_sum - setup_s) > SETUP_CLOSURE * setup_s:

@@ -28,20 +28,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OUT_DIR = os.path.join(ROOT, ".steadybench")
 
-#: End-to-end metrics and their units, printed by every untraced run.
-#: Host time enters only as set-up seconds: on a shared host, whole-pass
-#: wall time and throughput drift with the host (see RATIONALE.md) and
-#: are reported as per-layer ``host.*`` diagnostics instead.
-END_TO_END = {
-    "setup_s": "s",
-    "peak_rss_mb": "MB",
-    "op_success": "ratio",
-    "point_p50_s": "s",
-    "point_p99_s": "s",
-    "range_p90_s": "s",
-    "msgs_per_op": "msg/op",
-    "bytes_per_op": "B/op",
-}
 #: Metrics that repeat exactly for a seed; every pass of a run must agree.
 EXACT = ("op_success", "point_p50_s", "point_p99_s", "range_p90_s",
          "msgs_per_op", "bytes_per_op")
@@ -56,59 +42,27 @@ def _workloads():
     return {
         "wire-quiet": WireWorkload("uniform-baseline", 2048),
         "wire-write-storm": WireWorkload("write-hotspot-adversarial", 1024),
-        "dataplane-skewed": DataplaneWorkload(1024, 150_000),
+        "dataplane-skewed": DataplaneWorkload(1024, 75_000),
     }
 
 
-def _layer_units() -> dict:
-    """Per-layer metric name -> unit (read from the metric's name).
+def _metric_units() -> tuple:
+    """``(end-to-end, per-layer)`` metric name -> unit, as ``BENCHMARK.json``
+    lists them.
 
+    Host time enters the end-to-end metrics only as set-up seconds: on a
+    shared host, whole-pass wall time and throughput drift with the host
+    (see RATIONALE.md) and are per-layer ``host.*`` diagnostics instead.
     A layer's time is reported as its share of the traced pass's wall
     (``<layer>_share``; ``trace.wall_s`` is that wall).  Shares of one
     pass do not drift with the host the way seconds do, and a layer a
     workload bypasses reads a share of 0.
     """
-    import wire
-
-    names = [
-        "workloads.keys_share", "pgrid.blueprint_share", "scenarios.spawn_share",
-        "scenarios.assemble_share", "simnet.loop_share", "simnet.drain_share",
-        "simnet.events", "simnet.events_per_s", "simnet.pending_peak",
-        "simnet.op_msg_share", "simnet.timeouts", "simnet.retries",
-        "pgrid.liveness.probes", "pgrid.liveness.suspects",
-        "pgrid.liveness.evictions",
-    ]
-    for fam in wire.FAMILIES:
-        names += [f"simnet.msgs.{fam}", f"simnet.bytes.{fam}", f"simnet.node.{fam}_share"]
-    names += [f"simnet.drops.{c}" for c in ("loss", "offline", "refused", "partition")]
-    names += [
-        "core.construction_share", "core.interactions_per_peer",
-        "core.keys_moved_per_peer", "core.nested_paths", "core.misanswered_keys",
-        "simnet.end.nested_paths", "simnet.end.stale_refs",
-        "pgrid.from_construction_share", "pgrid.replication_share",
-        "pgrid.search.lookup_share", "pgrid.search.lookups", "pgrid.search.range_share",
-        "pgrid.search.ranges", "pgrid.search.lookup_hops_mean",
-        "pgrid.search.range_msgs_mean", "pgrid.network.write_share",
-        "pgrid.network.writes", "pgrid.keystore.matching_keys_share",
-        "ledger.stage_share", "trace.wall_s", "trace.overhead", "trace.spans",
-        "host.wall_s", "host.ops_per_s", "host.calib_s", "client.check_s",
-    ]
-    units = {}
-    for name in names:
-        if name.endswith("_per_s"):
-            unit = "1/s"
-        elif name.endswith("_s"):
-            unit = "s"
-        elif name.startswith("simnet.bytes."):
-            unit = "B"
-        elif name.endswith(("_share", "overhead")):
-            unit = "ratio"
-        elif name.endswith(("_mean", "_per_peer")):
-            unit = "count/op" if "search" in name else "count/peer"
-        else:
-            unit = "count"
-        units[name] = unit
-    return units
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        spec = json.load(f)
+    return tuple(
+        {m["name"]: m["unit"] for m in spec[key]} for key in ("end_to_end", "per_layer")
+    )
 
 
 def _fail(message: str) -> NoReturn:
@@ -150,23 +104,20 @@ def main(argv=None) -> int:
         _fail(f"unknown workload {args.workload!r}; known: {sorted(workloads)}")
     workload = workloads[args.workload]
 
+    end_to_end, per_layer = _metric_units()
     calib_start = calibration_s()
     inputs = workload.prepare(args.seed)
     t_start = time.perf_counter()
-    untraced, traced, setups = [], [], []
+    untraced, traced = [], []
     tracer = None
     try:
         while True:
             untraced.append(workload.run_pass(inputs))
             _check_pass(untraced[0], untraced[-1], f"pass {len(untraced)}")
-            setups.append(untraced[-1]["metrics"]["setup_s"])
             if args.trace:
                 tracer = Tracer()
                 traced.append(workload.run_pass(inputs, tracer))
                 _check_pass(untraced[0], traced[-1], f"traced pass {len(traced)}")
-            else:
-                setups += [workload.setup_probe(inputs)
-                           for _ in range(workload.setup_probes)]
             elapsed = time.perf_counter() - t_start
             per_round = elapsed / len(untraced)
             if args.trace and elapsed + per_round > args.seconds:
@@ -180,20 +131,18 @@ def main(argv=None) -> int:
 
     first = untraced[0]
     _print_summary(args, untraced, traced, first, calib_start, calib_end)
-    if not args.trace:
-        print(f"#   setup_s over {len(setups)} set-ups: "
-              + " ".join(f"{x:.4f}" for x in setups))
     if args.trace:
         os.makedirs(OUT_DIR, exist_ok=True)
         tracer.write(os.path.join(OUT_DIR, f"spans-{args.workload}.tsv"))
-        metrics = _layer_metrics(untraced, traced, tracer, calib_start, calib_end)
+        metrics = _layer_metrics(
+            per_layer, untraced, traced, tracer, calib_start, calib_end
+        )
     else:
         metrics = {
             name: {"value": statistics.median([r["metrics"][name] for r in untraced]),
                    "unit": unit}
-            for name, unit in END_TO_END.items()
+            for name, unit in end_to_end.items()
         }
-        metrics["setup_s"]["value"] = statistics.median(setups)
     result = {
         "correct": True,
         "attempted": sum(r["attempted"] for r in untraced + traced),
@@ -204,8 +153,7 @@ def main(argv=None) -> int:
     return 0
 
 
-def _layer_metrics(untraced, traced, tracer, calib_start, calib_end) -> dict:
-    units = _layer_units()
+def _layer_metrics(units, untraced, traced, tracer, calib_start, calib_end) -> dict:
     per_pass = []
     for r in traced:
         wall = r["metrics"]["wall_s"]
@@ -217,7 +165,7 @@ def _layer_metrics(untraced, traced, tracer, calib_start, calib_end) -> dict:
                 layers[name] = value
         unlisted = set(layers) - set(units)
         if unlisted:
-            _fail(f"per-layer metrics missing from the metric list: {sorted(unlisted)}")
+            _fail(f"per-layer metrics missing from BENCHMARK.json: {sorted(unlisted)}")
         per_pass.append({name: layers.get(name, 0) for name in units})
     values = {name: statistics.median([r[name] for r in per_pass]) for name in units}
     for name in ("wall_s", "ops_per_s"):
@@ -243,8 +191,9 @@ def _print_summary(args, untraced, traced, first, calib_start, calib_end) -> Non
               f" failed={r['sim_failed']} wall_s={m['wall_s']:.4f}"
               f" setup_s={m['setup_s']:.4f} ops_per_s={m['ops_per_s']:.1f}")
     for name, p in first["percentiles"].items():
+        flag = "; FALLS ON A FAILED OP: the failure deadline" if p.on_failed else ""
         print(f"#   {name} = {p.value:.6f} s over {p.samples} ops"
-              f" ({p.beyond} beyond; failed ops ranked last)")
+              f" ({p.beyond} beyond; failed ops ranked last{flag})")
     for name, count in first["defects"].items():
         print(f"#   defect count {name} = {count}")
 

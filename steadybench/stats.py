@@ -7,7 +7,7 @@ import resource
 import sys
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 #: A percentile is only reported with at least this many samples beyond it.
 MIN_BEYOND = 10
@@ -18,14 +18,24 @@ class Percentile:
     value: float
     samples: int
     beyond: int
+    #: The rank fell on a failed op, so ``value`` is the failure deadline.
+    on_failed: bool = False
 
 
-def percentile_failed_last(successes: Sequence[float], attempted: int, q: float) -> Percentile:
+def percentile_failed_last(
+    successes: Sequence[float],
+    attempted: int,
+    q: float,
+    failed_latency: Optional[float] = None,
+) -> Percentile:
     """Nearest-rank ``q``-quantile of ``attempted`` ops whose successful
     latencies are ``successes``; the failed rest rank after every success.
 
-    Raises when fewer than :data:`MIN_BEYOND` samples lie beyond the rank
-    or when the rank falls on a failed op (the latency is unbounded).
+    A failed op counts as taking ``failed_latency`` (the deadline at which
+    its origin gives up), so a rank that falls on one reports that
+    deadline and is flagged.  Without a deadline -- where any failure is
+    a wrong answer -- such a rank raises.  Raises as well when fewer than
+    :data:`MIN_BEYOND` samples lie beyond the rank.
     """
     if len(successes) > attempted:
         raise AssertionError(f"{len(successes)} successes of {attempted} attempts")
@@ -35,12 +45,14 @@ def percentile_failed_last(successes: Sequence[float], attempted: int, q: float)
         raise AssertionError(
             f"p{q * 100:g} of {attempted} samples has only {beyond} beyond it"
         )
-    if rank > len(successes):
+    if rank <= len(successes):
+        return Percentile(sorted(successes)[rank - 1], attempted, beyond)
+    if failed_latency is None:
         raise AssertionError(
             f"p{q * 100:g} falls on a failed op ({attempted - len(successes)} "
             f"of {attempted} failed)"
         )
-    return Percentile(sorted(successes)[rank - 1], attempted, beyond)
+    return Percentile(failed_latency, attempted, beyond, on_failed=True)
 
 
 def peak_rss_mb() -> float:

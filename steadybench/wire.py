@@ -24,7 +24,7 @@ from repro.simnet.transport import HEADER_BYTES, KEY_BYTES, REF_BYTES, Network
 
 from overlay_checks import nested_paths, stale_refs
 from stats import peak_rss_mb, percentile_failed_last
-from tracer import Tracer, patch_all, patched, timed
+from tracer import Tracer, patch_all, timed
 
 #: Message kind -> the family its per-layer counters are kept under.
 FAMILY_OF: Dict[str, str] = {
@@ -58,10 +58,6 @@ class WireWorkload:
         self.scenario_name = scenario_name
         self.n_peers = n_peers
 
-    #: Set-up-only measurements after each full pass: a wire set-up is
-    #: short, so one sample per pass would leave ``setup_s`` to jitter.
-    setup_probes = 5
-
     def prepare(self, seed: int) -> int:
         return seed
 
@@ -69,23 +65,6 @@ class WireWorkload:
         return MessageScenarioRunner(
             scenario(self.scenario_name, n_peers=self.n_peers, seed=seed)
         )
-
-    def setup_probe(self, seed: int) -> float:
-        """Seconds from pass start to the first ``run_until``, where the
-        probe stops the pass."""
-        def stop(run_until):
-            def wrapper(*args, **kwargs):
-                raise _SetUpDone(_now())
-            return wrapper
-
-        with patched(Simulator, "run_until", stop):
-            gc.collect()
-            t0 = _now()
-            try:
-                self._runner(seed).run()
-            except _SetUpDone as done:
-                return done.at - t0
-        raise AssertionError("the scenario never started its event loop")
 
     def run_pass(self, seed: int, tracer: Optional[Tracer] = None) -> dict:
         loop_starts: List[float] = []
@@ -132,15 +111,18 @@ class WireWorkload:
         attempted = queries + writes
         succeeded = totals["successes"] + totals.get("write_successes", 0)
         # The report's latency summaries cover successes only; failed
-        # queries are ranked last here, as if they never answered.
+        # queries are ranked last here, each as taking the deadline at
+        # which its origin gives up: every attempt's timeout.  The runner
+        # drains in-flight queries for this window plus one second.
+        deadline = runner.net_config.query_timeout_s * (runner.spec.query_retries + 1)
         point = percentile_failed_last(
-            runner._point_latencies, totals["point_queries"], 0.50
+            runner._point_latencies, totals["point_queries"], 0.50, deadline
         )
         point99 = percentile_failed_last(
-            runner._point_latencies, totals["point_queries"], 0.99
+            runner._point_latencies, totals["point_queries"], 0.99, deadline
         )
         range90 = percentile_failed_last(
-            runner._range_latencies, totals["range_queries"], 0.90
+            runner._range_latencies, totals["range_queries"], 0.90, deadline
         )
         return {
             "attempted": attempted,
@@ -234,12 +216,6 @@ class WireWorkload:
         layers["simnet.drops.refused"] = ledger.causes["refused"]
         layers["simnet.drops.offline"] = drops["offline"] - ledger.causes["refused"]
         return layers
-
-
-class _SetUpDone(Exception):
-    def __init__(self, at: float):
-        super().__init__(at)
-        self.at = at
 
 
 class _SendLedger:
