@@ -175,6 +175,9 @@ SCENARIO_METRICS = (
     ("write_success_rate", "drop"),
     ("divergence_final", "rise"),
     ("bytes_update", "ratio"),
+    # Maintenance traffic (exchanges, liveness probes, gossip): the
+    # route-repair budget must keep paying only for evidence it acts on.
+    ("bytes_maintenance", "ratio"),
     # Persistence/recovery metrics (restart scenarios only; written by
     # bench_scenarios.py from the report's ``recovery`` section).
     ("recovery_time_s", "ratio"),
@@ -203,7 +206,7 @@ def _metric_breach(
         return cand < base - abs_tol
     if direction == "rise":
         return cand > base + abs_tol
-    # ratio: only growth regresses (shrinking write bytes is a win).
+    # ratio: only growth regresses (shrinking bytes is a win).
     return base > 0 and cand / base > ratio_tol
 
 

@@ -18,15 +18,20 @@ evidence comes from:
   the synchronous :func:`repair_routes` sweep: drop dead references,
   replenish depleted levels from the live population;
 * the **message backend** (:mod:`repro.simnet.node`) must infer
-  liveness from the traffic it already sends, Kademlia-style: every
-  query timeout or partition-refused send marks the used reference
-  suspect, every delivered message refreshes the sender, suspects are
-  probed with ``ping``/``pong`` and evicted after
+  liveness from the traffic it already sends -- the paper's lazy
+  *correction on use*.  Probes have two evidence sources and no
+  periodic sweep: failure evidence (every query timeout or
+  refused/partitioned send marks the used reference suspect) and
+  confirm-on-use (forwarding through a reference silent for
+  :attr:`RouteRepairPolicy.confirm_interval_s` pings it).  Every
+  delivered message refreshes its sender, suspects are probed with
+  ``ping``/``pong`` and evicted after
   :attr:`RouteRepairPolicy.evict_after` silent probes, and evicted
   references are replaced by candidate references gossiped on
-  anti-entropy exchanges.  :class:`LivenessTracker` is that state
-  machine (per node, simulator-agnostic -- the node supplies timers and
-  messages).
+  anti-entropy exchanges and pongs.  Probe cost therefore tracks
+  traffic (SWIM's point, Das et al., DSN 2002), not routing-table size
+  times a clock.  :class:`LivenessTracker` is that state machine (per
+  node, simulator-agnostic -- the node supplies timers and messages).
 """
 
 from __future__ import annotations
@@ -45,9 +50,24 @@ class RouteRepairPolicy:
     """Knobs of the shared route-repair subsystem.
 
     ``enabled`` gates the whole machinery (``False`` reproduces the
-    repair-less PR-3 wire behavior and skips the data plane's repair
-    sweep).  The remaining knobs drive the evidence-based mechanism of
-    the message backend; the oracle mechanism only reads ``enabled``.
+    repair-less blind-routing wire behavior and skips the data plane's
+    repair sweep).  The remaining knobs drive the evidence-based
+    mechanism of the message backend; the oracle mechanism only reads
+    ``enabled``.
+
+    On the wire, probing has exactly two triggers, both driven by the
+    traffic a node already sends -- there is no clock-driven half:
+
+    * **failure evidence** -- a query/write/range timeout through a
+      reference, or a refused or partitioned connect, suspects it and
+      starts a probe chain (``evict_after``, ``probe_timeout_s``);
+    * **confirm-on-use** -- forwarding through a reference that has
+      been silent for ``confirm_interval_s`` pings it alongside the
+      forwarded message.
+
+    A dead reference that no traffic ever picks costs nothing until
+    some message does pick it; references that gossip or exchanges
+    deliver from live peers are refreshed for free by ``receive``.
     """
 
     #: Master switch: ``False`` = route blindly (the degradation baseline).
@@ -59,12 +79,6 @@ class RouteRepairPolicy:
     #: Re-confirm a reference in active use after this many seconds of
     #: silence (confirm-on-use: probes track traffic, not a global clock).
     confirm_interval_s: float = 60.0
-    #: Stale references probed per node per maintenance tick (the
-    #: Kademlia-style bucket refresh, stalest first; 0 disables).
-    #: Confirm-on-use alone discovers a dead reference only by paying a
-    #: query timeout for it; the refresh budget drains the reservoir of
-    #: never-used dead references at a bounded maintenance cost.
-    refresh_probes: int = 8
     #: Candidate references gossiped per routing level on every
     #: anti-entropy exchange and every ``pong`` (0 disables gossip
     #: replenishment).

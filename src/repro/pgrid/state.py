@@ -37,7 +37,11 @@ the determinism goldens rely on.  Fields:
     wall-clock expiry stamp on disk.  (Data-plane tombstones carry no
     clock; they snapshot with age 0.0.)
 ``node`` snapshots additionally carry ``original_keys``, ``outbox``,
-``joined``, ``constructing``, and ``liveness`` (below).
+``joined``, ``constructing``, ``liveness`` (below), and
+``tombstone_stamps``: ``[[key, issued_at], ...]`` sorted by key, the
+origin issue time of the delete behind each stamped tombstone (an
+absolute time on the shared clock, so it needs no rebasing).  Restore
+treats a missing field as "no stamps".
 
 Crash model
 -----------
@@ -69,8 +73,9 @@ Restoring a snapshot makes the peer *operational*, not *trusted*:
 2. Restored routing refs are handed to the liveness state machine
    **unconfirmed**: every restored ref's ``last_confirmed`` stamp is
    rebased so :meth:`~repro.pgrid.liveness.LivenessTracker.
-   needs_confirmation` is immediately true, making the next
-   ``refresh_routes`` pass probe them instead of trusting them blindly.
+   needs_confirmation` is immediately true: confirm-on-use pings each
+   one the first time traffic is forwarded through it, instead of
+   trusting it blindly.
    In-flight probe state (strikes, nonces) does not survive a restart.
 3. Eviction cooldowns (``evicted_at``) are restored with their age so a
    ref evicted just before shutdown cannot be gossip-readded right
@@ -226,6 +231,9 @@ def snapshot_node(node, now: float) -> Dict[str, Any]:
             [key, max(0.0, now - born.get(key, now))]
             for key in sorted(node.tombstones)
         ],
+        "tombstone_stamps": [
+            [key, stamp] for key, stamp in sorted(node._tombstone_stamp.items())
+        ],
         "joined": node.joined,
         "constructing": node.constructing,
         "liveness": {
@@ -263,12 +271,16 @@ def restore_node(node, snapshot: Dict[str, Any], now: float) -> None:
     node.routing = {level: list(refs) for level, refs in snapshot["routing"]}
     node.tombstones = set()
     node._tombstone_born = {}
+    node._tombstone_stamp = {}
+    stamps = dict(snapshot.get("tombstone_stamps", ()))
     ttl = node.config.tombstone_ttl_s
     for key, age in snapshot["tombstones"]:
         born = taken_at - age
         if now - born < ttl:  # already-expired certificates stay dead
             node.tombstones.add(key)
             node._tombstone_born[key] = born
+            if key in stamps:
+                node._tombstone_stamp[key] = stamps[key]
     node.joined = snapshot["joined"]
     node.constructing = snapshot["constructing"]
 

@@ -529,8 +529,12 @@ class ScenarioRunnerBase:
 
     # -- assembly hooks ----------------------------------------------------
 
-    def _extra_bins(self) -> Set[int]:
-        """Additional report bins the backend observed traffic in."""
+    def _tail_bins(self) -> Set[int]:
+        """Report bins past the sampled timeline (e.g. a drain window).
+
+        Must depend on the spec and backend configuration only, never
+        on the traffic a run happened to produce.
+        """
         return set()
 
     def _bin_bandwidth(self, tally: _Tally, b: int) -> Tuple[float, float]:
@@ -987,13 +991,11 @@ class ScenarioRunnerBase:
         bin_s = spec.report_bin_s
 
         writes_active = self._writes_active
-        bins = sorted(
-            set(tally.samples)
-            | set(tally.query_bins)
-            | set(tally.maint_bins)
-            | set(tally.update_bins)
-            | self._extra_bins()
-        )
+        # The bin grid is fixed by the spec: the bins the health sampler
+        # fires in across the scenario, plus the backend's configured
+        # tail (the wire's drain window).  Traffic cannot land outside
+        # them, and a stray late message never adds or removes a row.
+        bins = sorted(set(tally.samples) | self._tail_bins())
         series: List[dict] = []
         for b in bins:
             issued, ok, hops, point_ok, _qbytes = tally.query_bins.get(

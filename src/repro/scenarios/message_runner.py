@@ -31,10 +31,11 @@ How phases compile here
   random peer when a node knows none), so repair traffic is real
   messages, unlike the data-plane backend's nominal byte model.  With
   route repair enabled (:class:`~repro.pgrid.liveness.RouteRepairPolicy`
-  via ``MessageNetConfig.repair``) the tick also runs each node's
-  stale-reference refresh probes and lets route-deficient nodes (an
-  emptied level) initiate an extra exchange -- gossip on exchanges and
-  pongs is how evicted references get replaced.
+  via ``MessageNetConfig.repair``) the tick also lets route-deficient
+  nodes (an emptied level) initiate an extra exchange -- gossip on
+  exchanges and pongs is how evicted references get replaced.  The
+  tick sends no liveness probes: those follow traffic (failure
+  evidence and confirm-on-use, see :mod:`repro.pgrid.liveness`).
 
 The overlay starts from the same Algorithm-1 blueprint as the
 data-plane backend (scenarios stress *operation*, not construction;
@@ -422,13 +423,11 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         node.set_online(True)
         node.tombstones = set()
         node._tombstone_born = {}
+        node._tombstone_stamp = {}
         node.liveness.strikes.clear()
         node.liveness.probe_nonce.clear()
         node.liveness.last_confirmed.clear()
         node.liveness.evicted_at.clear()
-        # Wiping the confirmation stamps makes every kept ref stale at
-        # once; the refresh-sweep skip cache must not outlive them.
-        node._route_sweep_min_last = None
         if sponsor is None:
             # Nobody online to sponsor: come back in place and let
             # anti-entropy reconcile whatever state survived in RAM.
@@ -484,12 +483,6 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         if self.net_config.repair.enabled:
             nodes = self.nodes
             for pid in online:
-                node = nodes[pid]
-                # The periodic half of the route-repair policy: probe
-                # the stalest references (bounded per tick), so dead
-                # references are discovered by maintenance instead of
-                # each costing a query its timeout.
-                node.refresh_routes()
                 # Route-deficient nodes (an empty level means some keys
                 # are unreachable -- e.g. after an outage evicted a
                 # whole region) ask for anti-entropy *now*: exchange
@@ -497,6 +490,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
                 # sampled cadence would leave them dark for ticks.
                 if pid in initiators:
                     continue
+                node = nodes[pid]
                 routing_get = node.routing.get
                 for level in range(node.path.length):
                     if not routing_get(level):
@@ -793,16 +787,19 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         self._tally = tally  # observer callbacks tally into the live run
         return super()._make_phase_start(sim, tally, *args, **kwargs)
 
+    def _drain_s(self) -> float:
+        """Post-duration window in which in-flight operations resolve."""
+        cfg = self.net_config
+        if cfg.drain_s is not None:
+            return cfg.drain_s
+        return cfg.query_timeout_s * (self.spec.query_retries + 1) + 1.0
+
     def _finish(self, tally: _Tally) -> None:
         # Let in-flight queries resolve: every pending query is bounded
         # by (retries + 1) timeout windows.  All phase generators have
         # stopped (they check phase end), so only completions run.
-        cfg = self.net_config
-        drain = cfg.drain_s
-        if drain is None:
-            drain = cfg.query_timeout_s * (self.spec.query_retries + 1) + 1.0
         self.simulator.run_until(
-            self.spec.duration_s + drain, max_events=self.MAX_EVENTS
+            self.spec.duration_s + self._drain_s(), max_events=self.MAX_EVENTS
         )
         # Anything still unresolved (possible only when drain_s is set
         # shorter than the timeout window) counts as a failure of its
@@ -834,11 +831,13 @@ class MessageScenarioRunner(ScenarioRunnerBase):
 
     # -- assembly hooks ----------------------------------------------------
 
-    def _extra_bins(self) -> Set[int]:
-        bins: Set[int] = set()
-        for per_bin in self.stats.bytes_by_category.values():
-            bins.update(per_bin)
-        return bins
+    def _tail_bins(self) -> Set[int]:
+        # Every bin of [duration, duration + drain], traffic or not.
+        bin_s = self.spec.report_bin_s
+        start = self.spec.duration_s
+        return set(
+            range(int(start // bin_s), int((start + self._drain_s()) // bin_s) + 1)
+        )
 
     def _bin_bandwidth(self, tally: _Tally, b: int) -> Tuple[float, float]:
         query = self.stats.bytes_by_category.get(P.QUERY_TRAFFIC, {}).get(b, 0)

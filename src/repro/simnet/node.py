@@ -199,6 +199,13 @@ class PGridNode:
         #: re-gossip does not refresh it, or certificates would ping-pong
         #: between replicas forever).
         self._tombstone_born: Dict[int, float] = {}
+        #: Origin issue time of the delete behind each tombstone that a
+        #: routed delete or replica sync installed (last writer wins: an
+        #: insert issued before it -- a late retry -- cannot clear it).
+        #: Certificates learned from exchanges carry no stamp.  Keys are
+        #: always a subset of ``tombstones``: every path that drops a
+        #: certificate drops its stamp.
+        self._tombstone_stamp: Dict[int, float] = {}
         self.original_keys: Set[int] = set()
         self.outbox: Set[int] = set()
         self.routing: Dict[int, List[int]] = {}
@@ -211,17 +218,6 @@ class PGridNode:
         # Evidence-driven liveness of routing references (suspect ->
         # probe -> evict -> replace-from-gossip; see pgrid.liveness).
         self.liveness = LivenessTracker(self.config.repair)
-        # Refresh-sweep skip cache: after a sweep that found nothing
-        # stale, no reference can become stale while
-        # ``now - min(last_confirmed) < confirm_interval`` (float
-        # subtraction is monotone in the subtrahend, so the minimum
-        # bounds every ref under the sweep's own expression).  Sweeps
-        # in that window are skipped outright.  INVARIANT: every
-        # mutation that adds/replaces routing refs or lowers a
-        # confirmation stamp must reset this to None (add_route,
-        # _accept_gossip, _evict_ref, probe cancellation, restore,
-        # and the runner's cold-rejoin reset).
-        self._route_sweep_min_last: Optional[float] = None
         # construction activity control
         self.constructing = False
         self.idle_strikes = 0
@@ -358,9 +354,6 @@ class PGridNode:
         restore_node(self, snapshot, self.sim.now)
         self.idle_strikes = 0
         self._inflight_exchange = None
-        # Restored refs come back unconfirmed/rebased: drop the
-        # refresh-sweep skip cache so the next sweep re-evaluates them.
-        self._route_sweep_min_last = None
         # Serving state is transient: caches, grants and the served-load
         # window did not survive the process restart.
         if self._serving is not None:
@@ -400,7 +393,6 @@ class PGridNode:
         if other not in refs:
             refs.append(other)
             del refs[: -self.config.max_refs_per_level]
-            self._route_sweep_min_last = None  # new ref may already be stale
 
     def route_for_key(self, key: int) -> Optional[int]:
         """Next hop for ``key``: a random live-believed reference at the
@@ -493,19 +485,12 @@ class PGridNode:
     def _probe_timeout(self, ref: int, nonce: int) -> None:
         if not self.online:
             # We could never have heard the pong: void, don't strike.
-            # The ref re-enters the refresh sweep with its old (stale)
-            # confirmation, so the sweep skip cache must not stand.
             self.liveness.cancel_probe(ref, nonce)
-            self._route_sweep_min_last = None
             return
         self._probe_verdict(ref, nonce)
 
     def _evict_ref(self, ref: int) -> None:
         """Remove a dead-believed reference from every routing level."""
-        # Shrinking the table can only raise the sweep bound, but the
-        # skip cache no longer count-guards the ref set -- reset it on
-        # any structural change to keep the invariant simple.
-        self._route_sweep_min_last = None
         removed = False
         for refs in self.routing.values():
             if ref in refs:
@@ -545,77 +530,6 @@ class PGridNode:
         path = msg.payload.get("path", "")
         if gossip and path:
             self._accept_gossip(Path.from_string(path), gossip)
-
-    def refresh_routes(self) -> int:
-        """Probe up to ``refresh_probes`` stalest routing references.
-
-        The periodic half of failure detection (the maintenance cadence
-        calls this): confirm-on-use only ever probes references traffic
-        happens to pick, so rarely-used dead references would linger and
-        each cost a query its timeout on discovery.  Returns the number
-        of probes launched.
-        """
-        policy = self.config.repair
-        if not policy.enabled or policy.refresh_probes <= 0 or not self.online:
-            return 0
-        # Hot maintenance sweep: this runs every tick over every routing
-        # reference, so ``LivenessTracker.needs_confirmation`` is inlined
-        # with the lookups hoisted (same float expressions, same order).
-        now = self.sim.now
-        interval = policy.confirm_interval_s
-        routing = self.routing
-        cached = self._route_sweep_min_last
-        if cached is not None and now - cached < interval:
-            # A previous sweep found nothing stale; while the cached
-            # minimum last-confirmation is still fresh, every swept
-            # reference is too (confirmations only move lasts forward,
-            # and every mutation that could introduce a staler ref
-            # resets the cache -- see the invariant at the field).
-            return 0
-        liveness = self.liveness
-        probe_nonce = liveness.probe_nonce
-        last_confirmed_get = liveness.last_confirmed.get
-        # Level scan order doesn't matter: ``last_confirmed`` is keyed
-        # by reference id, so a reference appearing at several levels
-        # (possible after exchanges move peers) yields the *same*
-        # (last, ref) pair wherever seen, and the sort below totally
-        # orders the result.  That makes a per-ref seen-set redundant --
-        # duplicates land adjacent after sorting and are skipped there,
-        # off the per-reference sweep.
-        stale = []
-        stale_append = stale.append
-        min_last = None
-        for refs in routing.values():
-            for ref in refs:
-                if ref in probe_nonce:
-                    continue
-                last = last_confirmed_get(ref, 0.0)
-                if now - last >= interval:
-                    stale_append((last, ref))
-                elif min_last is None or last < min_last:
-                    min_last = last
-        if not stale:
-            # Cache the no-op verdict: nothing can go stale before the
-            # least-recently-confirmed swept reference does.  (With no
-            # sweepable ref at all -- everything in-probe -- there is
-            # no bound to cache: a probed ref can re-enter the sweep
-            # with an arbitrarily old confirmation.)
-            self._route_sweep_min_last = min_last
-            return 0
-        self._route_sweep_min_last = None
-        stale.sort()
-        budget = policy.refresh_probes
-        launched = 0
-        prev = None
-        for item in stale:
-            if item == prev:
-                continue
-            prev = item
-            self._send_probe(item[1])
-            launched += 1
-            if launched >= budget:
-                break
-        return launched
 
     def _forward_toward(
         self,
@@ -720,7 +634,6 @@ class PGridNode:
                     and not self.liveness.recently_evicted(ref, self.sim.now)
                 ):
                     refs.append(ref)
-                    self._route_sweep_min_last = None  # may already be stale
                     self.liveness.note_replacement()
 
     # -- message dispatch ----------------------------------------------------
@@ -1070,6 +983,7 @@ class PGridNode:
         for key in foreign:
             self.tombstones.discard(key)
             self._tombstone_born.pop(key, None)
+            self._tombstone_stamp.pop(key, None)
 
     def _evaluate_same_partition(
         self,
@@ -1691,6 +1605,7 @@ class PGridNode:
                 "qid": wid,
                 "attempt": attempt,
                 "hops": 0,
+                "issued_at": pending.issued_at,
             }
         )
         # Lazy attempt timer, like _send_query_attempt.
@@ -1714,13 +1629,16 @@ class PGridNode:
         origin = payload["origin"]
         qid = payload["qid"]
         hops = payload["hops"]
+        stamp = payload.get("issued_at")
         # Write traffic passing through (origin, forwarder or owner)
         # invalidates our cached result for the key: the cheapest
         # coherence signal the serving layer gets for free.
         self._serving_invalidate(key)
         if self.responsible_for(key):
-            self.apply_mutation(op, key)
-            self._sync_replicas(op, key)
+            # A superseded insert is still acknowledged (the newer
+            # delete already decided the key's fate), but not fanned out.
+            if self.apply_mutation(op, key, stamp):
+                self._sync_replicas(op, key, stamp)
             if origin == self.node_id:
                 self._complete_write(qid, hops, True)
             else:
@@ -1738,6 +1656,7 @@ class PGridNode:
             "qid": qid,
             "attempt": payload.get("attempt", 0),
             "hops": hops + 1,
+            "issued_at": stamp,
         }
         kind = P.INSERT if op == "insert" else P.DELETE
         used = self._forward_toward(
@@ -1763,23 +1682,35 @@ class PGridNode:
             if pending is not None:
                 pending.via = used  # liveness evidence, like point queries
 
-    def apply_mutation(self, op: str, key: int) -> None:
+    def apply_mutation(
+        self, op: str, key: int, stamp: Optional[float] = None
+    ) -> bool:
         """Apply one mutation to the local store (responsible keys only).
 
-        An insert clears the key's tombstone (the insert is newer
-        evidence than the delete that left it); a delete leaves one so
-        union-style anti-entropy cannot resurrect the key.
+        ``stamp`` is the origin's issue time.  A delete leaves a
+        tombstone carrying its stamp, so union-style anti-entropy cannot
+        resurrect the key.  An insert clears the tombstone unless it was
+        issued before the delete that left it (last writer wins: a late
+        insert retry must not undo a newer delete); returns ``False``
+        for such a superseded insert, ``True`` otherwise.
         """
         self._serving_invalidate(key)
         if not self.responsible_for(key):
-            return
+            return True
+        stamps = self._tombstone_stamp
         if op == "insert":
+            if stamp is not None and stamp < stamps.get(key, stamp):
+                return False
             self.keys.add(key)
             self.tombstones.discard(key)
             self._tombstone_born.pop(key, None)
+            stamps.pop(key, None)
         else:
             self.keys.discard(key)
             self._note_tombstones((key,))
+            if stamp is not None and stamp >= stamps.get(key, stamp):
+                stamps[key] = stamp
+        return True
 
     def _note_tombstones(self, keys) -> None:
         """Install death certificates, stamping only the *new* ones."""
@@ -1806,8 +1737,9 @@ class PGridNode:
         for key in expired:
             self.tombstones.discard(key)
             self._tombstone_born.pop(key, None)
+            self._tombstone_stamp.pop(key, None)
 
-    def _sync_replicas(self, op: str, key: int) -> None:
+    def _sync_replicas(self, op: str, key: int, stamp: Optional[float]) -> None:
         """Eagerly fan a just-applied mutation out to known replicas.
 
         Offline or partitioned replicas refuse the connect and simply
@@ -1819,7 +1751,7 @@ class PGridNode:
                 self.send(
                     rid,
                     P.REPLICA_SYNC,
-                    {"op": op, "keys": [key]},
+                    {"op": op, "keys": [key], "issued_at": stamp},
                     n_keys=1,
                     category=P.UPDATE_TRAFFIC,
                 )
@@ -1831,15 +1763,16 @@ class PGridNode:
                     self.send(
                         hid,
                         P.REPLICA_SYNC,
-                        {"op": op, "keys": [key]},
+                        {"op": op, "keys": [key], "issued_at": stamp},
                         n_keys=1,
                         category=P.UPDATE_TRAFFIC,
                     )
 
     def _on_replica_sync(self, msg: Message) -> None:
         op = msg.payload["op"]
+        stamp = msg.payload.get("issued_at")
         for key in msg.payload["keys"]:
-            self.apply_mutation(op, key)
+            self.apply_mutation(op, key, stamp)
             if self._serving is not None:
                 for entry in self._grants.values():
                     if entry[0].contains_key(key, KEY_BITS):

@@ -308,6 +308,39 @@ class TestWriteMetricGates:
         assert "scenarios/read-write-balanced" in capsys.readouterr().err
 
 
+def maint_section(mass_leave_bytes=20_000_000):
+    section = scenario_section()
+    section["results"]["mass-leave"]["bytes_maintenance"] = mass_leave_bytes
+    return section
+
+
+class TestMaintenanceBytesGate:
+    """Maintenance traffic is gated like update traffic: growth beyond
+    the ratio tolerance fails, shrinking never does."""
+
+    def run(self, tmp_path, base_bytes, cand_bytes):
+        base = write(tmp_path, "base.json", snapshot(
+            extra={"scenarios_message": maint_section(base_bytes)}
+        ))
+        cand = write(tmp_path, "cand.json", snapshot(
+            extra={"scenarios_message": maint_section(cand_bytes)}
+        ))
+        return check_regression.main(
+            ["--baseline", str(base), "--candidate", str(cand)]
+        )
+
+    def test_maintenance_bytes_blowup_fails(self, tmp_path, capsys):
+        assert self.run(tmp_path, 4_000_000, 20_000_000) == 1
+        err = capsys.readouterr().err
+        assert "mass-leave bytes_maintenance" in err
+
+    def test_maintenance_bytes_within_ratio_pass(self, tmp_path):
+        assert self.run(tmp_path, 4_000_000, 5_500_000) == 0
+
+    def test_maintenance_bytes_shrink_passes(self, tmp_path):
+        assert self.run(tmp_path, 20_000_000, 4_000_000) == 0
+
+
 class TestStepSummary:
     """The CI-readability satellite: gate results as a markdown table."""
 

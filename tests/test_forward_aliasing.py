@@ -93,7 +93,7 @@ class TestForwardOwnsItsContainer:
         key = float_to_key(0.3)  # quadrant 01: node 0 must relay
         incoming = {
             "key": key, "op": "insert", "origin": 3, "qid": 7,
-            "attempt": 1, "hops": 1,
+            "attempt": 1, "hops": 1, "issued_at": 12.5,
         }
         nodes[0]._route_write(incoming)
         kinds = [kind for kind, _ in sent]
@@ -103,7 +103,7 @@ class TestForwardOwnsItsContainer:
         clobber(incoming)
         assert forward == {
             "key": key, "op": "insert", "origin": 3, "qid": 7,
-            "attempt": 1, "hops": 2,
+            "attempt": 1, "hops": 2, "issued_at": 12.5,
         }
 
     def test_range_relay_forward(self):

@@ -7,8 +7,9 @@ Four layers:
 * **Wire protocol tests** -- hand-built overlays driving the evidence
   paths: refused connects, partition refusals (set_partitions drops are
   *visible* to the sender's routing state), ping/pong probing,
-  confirm-on-use staleness probing, and gossip replenishment on
-  exchanges and pongs.
+  confirm-on-use staleness probing (the only probe source besides
+  failure evidence -- there is no periodic sweep), and gossip
+  replenishment on exchanges and pongs.
 * **Scenario-level tests** -- the repaired-vs-unrepaired success gap on
   the message backend, repair counters in ``message_level.repair``, and
   structural invariants surviving gossip-carried references.
@@ -225,19 +226,27 @@ class TestWireEvidence:
             for ref in refs:
                 assert comp.is_prefix_of(nodes[ref].path), (level, ref)
 
-    def test_refresh_routes_probes_stale_refs_and_evicts_the_dead(self):
+    def test_forwarding_through_a_stale_dead_ref_probes_and_evicts_it(self):
+        # Confirm-on-use is the only detector a never-failing ref needs:
+        # node 3 hangs (accepts connects, never answers -- no refusal
+        # evidence), and node 0 learns that only by forwarding through
+        # its stale reference to it.
         sim, net, nodes = build_wire(QUADRANTS)
-        nodes[3].online = False
-        sim.run_until(70.0)  # everything is stale (> confirm_interval_s)
-        launched = nodes[0].refresh_routes()
-        assert launched >= 3  # refs 1, 2, 3 all unconfirmed
-        sim.run_until(80.0)  # pongs are back, the refused ref is out
+        nodes[3].receive = lambda message: None
+        nodes[0].routing[0] = [3]  # the only way toward quadrant 11
+        sim.run_until(70.0)  # every ref is stale (> confirm_interval_s)
+        tracker = nodes[0].liveness
+        assert tracker.probes == 0  # idle: nothing probed so far
+        nodes[0].issue_query(float_to_key(0.85))
+        sim.run_until(70.5)
+        assert tracker.probes == 1  # the forward pinged its stale ref
+        assert 3 in tracker.probe_nonce
+        sim.run_until(120.0)
         assert all(3 not in refs for refs in nodes[0].routing.values())
-        assert nodes[0].liveness.evictions == 1
-        # The live ones answered and are confirmed now.
-        assert nodes[0].liveness.last_confirmed[1] > 0
-        assert nodes[0].liveness.last_confirmed[2] > 0
-        assert nodes[0].refresh_routes() == 0  # nothing stale anymore
+        assert tracker.evictions == 1
+        # Refs no traffic went through were never probed.
+        assert 1 not in tracker.last_confirmed
+        assert 2 not in tracker.last_confirmed
 
     def test_repair_disabled_reproduces_blind_routing(self):
         config = NodeConfig(
@@ -332,6 +341,33 @@ class TestScenarioRepair:
         net = runner.as_network()
         check_routing_complementarity(net)
         check_partition_tiling(net, allow_refinement=True)
+
+    def test_idle_overlay_sends_no_pings_across_maintenance_ticks(self):
+        # No forwarding and no failure evidence means no probes: the
+        # maintenance tick runs anti-entropy exchanges, never a
+        # clock-driven liveness sweep.
+        from repro.scenarios import Phase, ScenarioSpec
+
+        spec = ScenarioSpec(
+            name="liveness-idle-probe",
+            phases=(
+                Phase(
+                    name="idle",
+                    duration_s=300.0,
+                    query_rate=0.0,
+                    maintenance_interval_s=30.0,
+                ),
+            ),
+            n_peers=32,
+            seed=13,
+            report_bin_s=30.0,
+        )
+        report = MessageScenarioRunner(spec).run()
+        assert report.totals["bytes_maintenance"] > 0  # ticks ran
+        # Every ping goes through LivenessTracker.begin_probe; pongs
+        # only answer pings.  (repair_bytes stays non-zero: exchanges
+        # still gossip candidate refs.)
+        assert report.message_level["repair"]["probes"] == 0
 
     def test_no_maintenance_scenario_keeps_full_invariants(self):
         # Without exchanges the ideal structure must survive a repair-

@@ -170,6 +170,24 @@ class TestMessageLevelReport:
         ml = report.message_level
         assert ml["timeouts"] + ml["retries"] + ml["messages_dropped"] > 0
 
+    @pytest.mark.parametrize("seed", [7, 8])
+    @pytest.mark.parametrize("drain_s", [None, 0.0, 40.0])
+    def test_series_bin_count_is_fixed_by_the_spec(self, seed, drain_s):
+        # One row per bin of [0, duration + drain], whatever traffic the
+        # run produced: late pings or retries landing in the drain
+        # window must not change the report's shape.
+        spec = scenario("uniform-baseline", n_peers=64, seed=seed,
+                        duration_scale=0.25)
+        cfg = MessageNetConfig(drain_s=drain_s)
+        report = run_scenario(spec, backend="message", net_config=cfg)
+        drain = drain_s
+        if drain is None:
+            drain = cfg.query_timeout_s * (spec.query_retries + 1) + 1.0
+        bins = int((spec.duration_s + drain) // spec.report_bin_s) + 1
+        assert [row["minute"] for row in report.series] == [
+            b * spec.report_bin_s / 60.0 for b in range(bins)
+        ]
+
 
 class TestMembershipAndStructure:
     def test_mass_join_grows_population_over_the_wire(self):

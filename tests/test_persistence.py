@@ -472,6 +472,18 @@ class TestRecoveryProperties:
         assert rec["lost_acked_writes"] == 0
         assert rec["tombstone_resurrections"] == 0
 
+    def test_late_insert_retry_does_not_resurrect_a_deleted_key(self):
+        # In this cell an insert's retry landed after a newer, acked
+        # delete of the same key and used to clear its tombstone on
+        # every replica; the issue-time stamps make the delete win.
+        spec = scenario(
+            "restart-storm", n_peers=1024, seed=20050830, duration_scale=0.5
+        )
+        rec = run_scenario(spec, backend="message").recovery
+        assert rec["acked_writes_tracked"] > 0
+        assert rec["tombstone_resurrections"] == 0
+        assert rec["lost_acked_writes"] == 0
+
     @pytest.mark.parametrize("backend", ["dataplane", "message"])
     def test_crash_model_quantifies_staleness(self, backend):
         # datacenter-power-cycle has crash_fraction=1.0: every restore

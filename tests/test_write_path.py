@@ -272,6 +272,43 @@ class TestMessageWriteProtocol:
             assert key not in node.keys
             assert key in node.tombstones
 
+    @pytest.mark.parametrize(
+        "delete_at, insert_at, present",
+        [(2.0, 1.0, False), (1.0, 2.0, True)],
+    )
+    def test_last_writer_wins_on_issue_stamps(self, delete_at, insert_at, present):
+        # The delete reaches the owner first.  An insert issued *before*
+        # it (a late retry) must not clear its tombstone; one issued
+        # after it must.  Both are acknowledged either way.
+        sim, net, nodes = build_wire()
+        key = float_to_key(0.87)
+        acks = []
+        nodes[0]._on_update_ack = lambda msg: acks.append(msg.payload["qid"])
+        for qid, (op, issued_at) in enumerate(
+            [("delete", delete_at), ("insert", insert_at)], start=1
+        ):
+            nodes[3]._route_write({
+                "op": op, "key": key, "origin": 0, "qid": qid,
+                "attempt": 1, "hops": 1, "issued_at": issued_at,
+            })
+        sim.run_until(10.0)
+        assert sorted(acks) == [1, 2]
+        for node in (nodes[3], nodes[4]):  # owner and synced replica
+            assert (key in node.keys) is present
+            assert (key in node.tombstones) is not present
+
+    def test_delete_stamp_survives_snapshot_restore(self):
+        sim, net, nodes = build_wire()
+        key = float_to_key(0.87)
+        owner = nodes[3]
+        owner.apply_mutation("delete", key, 5.0)
+        snap = owner.snapshot_state()
+        assert snap["tombstone_stamps"] == [[key, 5.0]]
+        owner._tombstone_stamp = {}
+        owner.restore_state(snap)
+        assert owner.apply_mutation("insert", key, 4.0) is False
+        assert key not in owner.keys and key in owner.tombstones
+
     def test_local_write_completes_via_event_not_reentrantly(self):
         sim, net, nodes = build_wire()
         outcomes = []
